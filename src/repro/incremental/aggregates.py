@@ -442,12 +442,14 @@ class IncrementalMinMax(IncrementalComputation):
 
     def merge_partial(self, state: dict[Any, int]) -> None:
         """Union the value multisets; extremes follow from the counts."""
-        for value, count in state.items():
-            self._counts[value] += count
-            if is_na(self._min) or value < self._min:
-                self._min = value
-            if is_na(self._max) or value > self._max:
-                self._max = value
+        if not state:
+            return
+        self._counts.update(state)
+        lo, hi = min(state), max(state)
+        if is_na(self._min) or lo < self._min:
+            self._min = lo
+        if is_na(self._max) or hi > self._max:
+            self._max = hi
 
     def initialize(self, values: Iterable[Any]) -> None:
         self._counts = Counter()

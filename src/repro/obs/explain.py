@@ -126,7 +126,7 @@ def _describe(op: Any) -> tuple[str, str]:
     source = getattr(op, "source", None)
     if source is not None and isinstance(getattr(source, "name", None), str):
         details.append(f"source={source.name}")
-    if label == "VecScan":
+    if label in ("VecScan", "ColumnScan"):
         details.append(f"columns={list(op.schema.names)}")
     keys = getattr(op, "keys", None)
     if keys:

@@ -33,6 +33,23 @@ class Operator:
         return list(iter(self))
 
 
+class ColumnScan(Operator):
+    """Rows of only ``columns`` of a chunk-capable source, in source order.
+
+    On a transposed backing only those columns' page chains are read (the
+    q-of-m scan of SS2.6); rows are zipped back from the column chunks.
+    """
+
+    def __init__(self, source: Any, columns: Sequence[str]) -> None:
+        self.source = source
+        self.schema = source.schema.project(columns)
+        self._indexes = [source.schema.index_of(name) for name in columns]
+
+    def __iter__(self) -> Iterator[tuple[Any, ...]]:
+        for columns in self.source.scan_column_chunks(self._indexes):
+            yield from zip(*columns)
+
+
 class Select(Operator):
     """Rows satisfying a predicate."""
 

@@ -4,7 +4,8 @@ The plan shape is fixed — scan -> (pushed selections) -> join -> selection
 -> group-by/projection -> sort -> limit — with two simple optimizations:
 
 * conjuncts of the WHERE clause that reference only one join input are
-  pushed below the join;
+  pushed below the join, and a chunk-capable left input is scanned only
+  for the columns the query references;
 * equi-joins always use :class:`HashJoin` (the parser only produces
   equality join conditions);
 * a registered :class:`~repro.relational.index.AttributeIndex` on the base
@@ -29,6 +30,7 @@ from repro.relational import expressions as ex
 from repro.relational.aggregates import AggregateSpec, GroupBy
 from repro.relational.catalog import Catalog
 from repro.relational.operators import (
+    ColumnScan,
     HashJoin,
     Limit,
     Operator,
@@ -67,6 +69,8 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
 
     if query.join is not None:
         right: Any = catalog.get(query.join.table)
+        if use_vectorized:
+            left = _pruned_join_input(query, left)
         pushed_left: list[ex.Expr] = []
         pushed_right: list[ex.Expr] = []
         kept: list[ex.Expr] = []
@@ -185,6 +189,25 @@ def _projection_items(query: Query) -> list[Any] | None:
     return items
 
 
+def _pruned_join_input(query: Query, left: Any) -> Any:
+    """The join's left input narrowed to the columns the query references.
+
+    A chunk-capable left input is scanned through a :class:`ColumnScan`
+    over only those columns — the q-of-m scan of SS2.6 on the row engine;
+    ``SELECT *`` and other sources keep the full-width input.
+    """
+    from repro.relational.vectorized import supports_column_chunks
+
+    if not supports_column_chunks(left):
+        return left
+    specs = _grouped_specs(query)
+    items = _projection_items(query) if specs is None else None
+    needed = _needed_columns(query, left.schema, query.where, specs, items)
+    if needed is None:
+        return left
+    return ColumnScan(left, needed)
+
+
 def _try_sharded(query: Query, source: Any, where: ex.Expr | None) -> Any:
     """Lower an eligible aggregate query to scatter-gather, or ``None``.
 
@@ -258,12 +281,18 @@ def _needed_columns(
 ) -> list[str] | None:
     """Source columns the query touches, in schema order (None = all).
 
-    This is the q of the q-of-m scan: the vectorized path never reads the
-    other m − q columns off a transposed backing.
+    This is the q of the q-of-m scan: the vectorized path, and the join's
+    left input, never read the other m − q columns off a transposed
+    backing.  Names of ``schema`` the query uses anywhere count: join keys,
+    WHERE, HAVING, ORDER BY, group keys, aggregate inputs and select items.
     """
     if specs is None and items is None:
         return None  # SELECT * needs the full width.
-    used: set[str] = set()
+    used: set[str] = set(query.order_by)
+    if query.join is not None:
+        used |= set(query.join.left_keys)
+    if query.having is not None:
+        used |= query.having.columns()
     if where is not None:
         used |= where.columns()
     if specs is not None:

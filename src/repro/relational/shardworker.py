@@ -27,6 +27,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.core.errors import QueryError, StorageError
 from repro.incremental.aggregates import (
     IncrementalCount,
@@ -39,7 +41,7 @@ from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import Expr
 from repro.relational.relation import StoredRelation
 from repro.relational.schema import Schema
-from repro.relational.vectorized import CHUNK_SIZE, VecScan
+from repro.relational.vectorized import CHUNK_SIZE, VecScan, factorize
 from repro.storage.transposed import TransposedFile
 
 #: Aggregate functions with mergeable per-shard partial states.  The
@@ -167,57 +169,45 @@ def run_partial(file: TransposedFile, request: ShardRequest) -> list[GroupPartia
         scan.schema.index_of(spec.weight) if spec.weight else None
         for spec in request.specs
     ]
+    needed = {i for i in (*key_idx, *col_idx, *weight_idx) if i is not None}
     comps: dict[tuple[Any, ...], list[IncrementalComputation | None]] = {}
     groups: dict[tuple[Any, ...], GroupPartial] = {}
-    single_key = len(key_idx) == 1
     base = 0
     for chunk in scan.chunks():
-        mask = mask_fn(chunk).data if mask_fn is not None else None
-        key_columns = [chunk.columns[i].to_list() for i in key_idx]
-        data_columns = [
-            None if i is None else chunk.columns[i].to_list() for i in col_idx
-        ]
-        weight_columns = [
-            None if i is None else chunk.columns[i].to_list() for i in weight_idx
-        ]
-        # Bucket the chunk's selected row positions per group first, then
-        # feed each computation one absorb() per (group, chunk) — batching
-        # turns len(rows) * len(specs) method dispatches into len(groups)
-        # * len(specs), which is what keeps the shards=1 serial path at
-        # parity with the single-stream vectorized engine.
-        buckets: dict[tuple[Any, ...], list[int]] = {}
-        first_key_column = key_columns[0] if single_key else None
-        for r in range(chunk.length):
-            if mask is not None and not mask[r]:
+        chunk_base, base = base, base + chunk.length
+        rows = np.arange(chunk.length)
+        if mask_fn is not None:
+            rows = rows[np.array(mask_fn(chunk).data, dtype=bool)]
+            if not len(rows):
                 continue
-            key = (
-                (first_key_column[r],)
-                if first_key_column is not None
-                else tuple(column[r] for column in key_columns)
-            )
-            rows = buckets.get(key)
-            if rows is None:
-                buckets[key] = rows = []
-                if key not in groups:
-                    global_row = (base + r) * request.shards + request.shard
-                    groups[key] = GroupPartial(
-                        key, global_row, 0, [None] * len(request.specs)
-                    )
-                    comps[key] = [make_partial(spec) for spec in request.specs]
-            rows.append(r)
-        for key, rows in buckets.items():
-            groups[key].size += len(rows)
-            for position, comp in enumerate(comps[key]):
+        columns = {
+            i: np.array(chunk.columns[i].to_list(), dtype=object)[rows]
+            for i in needed
+        }
+        # One absorb() per (group, chunk, spec): batching turns
+        # len(rows) * len(specs) method dispatches into len(groups) *
+        # len(specs), which keeps the shards=1 serial path at parity with
+        # the single-stream vectorized engine.
+        key_columns = [columns[i].tolist() for i in key_idx]
+        for key, positions in factorize(key_columns, len(rows)):
+            group = groups.get(key)
+            if group is None:
+                first = chunk_base + int(rows[positions[0]])
+                global_row = first * request.shards + request.shard
+                groups[key] = group = GroupPartial(
+                    key, global_row, 0, [None] * len(request.specs)
+                )
+                comps[key] = [make_partial(spec) for spec in request.specs]
+            group.size += len(positions)
+            for comp, ci, wi in zip(comps[key], col_idx, weight_idx):
                 if comp is None:
                     continue
-                column = data_columns[position]
-                assert column is not None
-                weights = weight_columns[position]
-                if weights is not None:
-                    comp.absorb([(column[r], weights[r]) for r in rows])
+                assert ci is not None
+                values = columns[ci][positions].tolist()
+                if wi is not None:
+                    comp.absorb(list(zip(values, columns[wi][positions].tolist())))
                 else:
-                    comp.absorb([column[r] for r in rows])
-        base += chunk.length
+                    comp.absorb(values)
     for key, group in groups.items():
         group.states = [
             None if comp is None else comp.partial_state() for comp in comps[key]

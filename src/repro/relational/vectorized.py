@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import QueryError
 from repro.relational.aggregates import (
     AggregateSpec,
@@ -267,6 +269,30 @@ class _SchemaOnly:
         return iter(())
 
 
+def factorize(
+    key_columns: Sequence[Sequence[Any]], length: int
+) -> list[tuple[tuple[Any, ...], np.ndarray]]:
+    """Split a chunk's ``length`` rows into groups: ``(key, positions)`` pairs.
+
+    ``key_columns`` holds one value list per key attribute.  Groups come in
+    first-seen order, and each group's positions ascend, so values gathered
+    through them keep row order.  Keys are compared as tuples in a dict —
+    the row engine's grouping semantics — so NA, STR and multi-attribute
+    keys need no special case.  An empty key list puts every row in the
+    single group ``()``.
+    """
+    if not key_columns:
+        return [((), np.arange(length))]
+    keys = list(zip(*key_columns))
+    uniques: dict[tuple[Any, ...], Any] = dict.fromkeys(keys)
+    for code, key in enumerate(uniques):
+        uniques[key] = code
+    codes = np.fromiter(map(uniques.__getitem__, keys), np.intp, len(keys))
+    order = np.argsort(codes, kind="stable")
+    bounds = np.flatnonzero(np.diff(codes[order])) + 1
+    return list(zip(uniques, np.split(order, bounds)))
+
+
 class _Group:
     """Accumulated state for one group key."""
 
@@ -280,11 +306,12 @@ class _Group:
 class VecGroupBy(VectorOperator):
     """Group-by over chunks with the row engine's exact aggregate semantics.
 
-    Grouping gathers each aggregate input column-wise per group; the final
-    per-group reduction reuses the shared NA-skipping aggregate functions,
-    so results match :class:`~repro.relational.aggregates.GroupBy` bit for
-    bit.  Output is one chunk of group rows (group counts are small
-    relative to input rows).
+    Each chunk is factorized on its key columns and each aggregate input is
+    gathered per group in row order; the final per-group reduction reuses
+    the shared NA-skipping aggregate functions, so results match
+    :class:`~repro.relational.aggregates.GroupBy` bit for bit.  Output is
+    one chunk of group rows (group counts are small relative to input
+    rows).
     """
 
     def __init__(self, child: Any, keys: Sequence[str], specs: Sequence[AggregateSpec]) -> None:
@@ -307,30 +334,26 @@ class VecGroupBy(VectorOperator):
         self._evaluators = [resolve_aggregate(spec.func) for spec in self.specs]
 
     def chunks(self) -> Iterator[ColumnChunk]:
-        key_idx = self._key_idx
         needed = sorted(
             {i for i in self._col_idx if i is not None}
             | {i for i in self._weight_idx if i is not None}
         )
-        groups: dict[tuple, _Group] = {}
-        order: list[tuple] = []
+        # A grand total has its one row even over empty input.
+        groups: dict[tuple, _Group] = {} if self.keys else {(): _Group(needed)}
         for chunk in self.child.chunks():
-            key_columns = [chunk.columns[i].to_list() for i in key_idx]
-            data_columns = [(i, chunk.columns[i].to_list()) for i in needed]
-            for r in range(chunk.length):
-                key = tuple(column[r] for column in key_columns)
+            data_columns = [
+                (i, np.array(chunk.columns[i].to_list(), dtype=object))
+                for i in needed
+            ]
+            key_columns = [chunk.columns[i].to_list() for i in self._key_idx]
+            for key, positions in factorize(key_columns, chunk.length):
                 group = groups.get(key)
                 if group is None:
                     groups[key] = group = _Group(needed)
-                    order.append(key)
-                group.size += 1
-                values = group.values
+                group.size += len(positions)
                 for i, column in data_columns:
-                    values[i].append(column[r])
-        if not self.keys and not order:
-            order.append(())
-            groups[()] = _Group(needed)
-        out_rows = [self._emit(key, groups[key]) for key in order]
+                    group.values[i].extend(column[positions].tolist())
+        out_rows = [self._emit(key, group) for key, group in groups.items()]
         yield _chunk_from_block(self.schema, out_rows, len(self.schema))
 
     def _emit(self, key: tuple, group: _Group) -> tuple[Any, ...]:
@@ -388,5 +411,6 @@ __all__ = [
     "VectorOperator",
     "as_chunk_pipeline",
     "chunks_from_rows",
+    "factorize",
     "supports_column_chunks",
 ]

@@ -8,11 +8,21 @@ pages, while higher software keeps a flat-file view.  The cost is the
 column.
 
 Each column is stored as its own chain of pages.  A page holds a uint16
-value count followed by the values, either plainly serialized or
-RLE-compressed (``compress="rle"``).  Per-column page metadata (first row
-and row count per page) lets point lookups find the right page without
-scanning the chain, though a compressed page must still be decoded as a
-unit — the positional misalignment penalty the paper mentions.
+value count followed by the values in one of three layouts, chosen by the
+column's dtype and compression:
+
+* plain fixed-width (INT, FLOAT, CATEGORY, BOOL): fixed-stride slots, each
+  a validity byte (1 = present, 0 = NA) followed by the little-endian
+  value (int64, float64, int32 or one byte); an NA slot is the 0 byte and
+  zero padding.  A page decodes with one ``np.frombuffer`` over a
+  structured dtype, and rewriting a slot never changes the page's size;
+* plain STR: variable-width values (marker byte, uint16 length, UTF-8);
+* RLE-compressed (``compress="rle"``): (value, uint32 run length) pairs.
+
+Per-column page metadata (first row and row count per page) lets point
+lookups find the right page without scanning the chain, though a
+compressed page must still be decoded as a unit — the positional
+misalignment penalty the paper mentions.
 """
 
 from __future__ import annotations
@@ -21,14 +31,28 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import PageError, StorageError
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.types import DataType
+from repro.relational.types import NA, DataType, is_na
 from repro.storage import compression as comp
 from repro.storage.pager import BufferPool
 
 _COUNT = struct.Struct("<H")
 _MAX_PAGE_VALUES = 0xFFFF
+
+#: Slot layout of plain pages of fixed-width types: a validity byte, then
+#: the value as ``compression._encode_value`` packs it.
+_SLOTS = {
+    dtype: np.dtype([("valid", "u1"), ("value", fmt)])
+    for dtype, fmt in (
+        (DataType.INT, "<i8"),
+        (DataType.FLOAT, "<f8"),
+        (DataType.CATEGORY, "<i4"),
+        (DataType.BOOL, "?"),
+    )
+}
 
 
 @dataclass
@@ -54,6 +78,9 @@ class _Column:
         self.dtype = dtype
         self.compress = compress
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        # Fixed-stride slot dtype of plain pages, or None for variable-width
+        # (STR) and RLE pages.
+        self._slot = _SLOTS.get(dtype) if compress is None else None
         self.pages: list[_ColumnPage] = []
         self.row_count = 0
         # State of the open (last) page, kept in memory to make appends
@@ -79,8 +106,13 @@ class _Column:
         if self._memo_page_no == self._open_page_no:
             self._invalidate_memo()
 
+    def _encode_plain(self, value: object) -> bytes:
+        if self._slot is not None and is_na(value):
+            return bytes(self._slot.itemsize)
+        return comp._encode_value(value, self.dtype)
+
     def _append_plain(self, value: object) -> None:
-        encoded = comp._encode_value(value, self.dtype)
+        encoded = self._encode_plain(value)
         block_size = self.pool.disk.block_size
         meta = self.pages[-1] if self.pages else None
         fits = (
@@ -181,7 +213,7 @@ class _Column:
         if self.compress == "rle":
             body = comp.rle_encode_bytes(values, self.dtype)
         else:
-            body = b"".join(comp._encode_value(v, self.dtype) for v in values)
+            body = b"".join(self._encode_plain(v) for v in values)
         encoded = _COUNT.pack(meta.count) + body
         if len(encoded) > self.pool.disk.block_size:
             raise StorageError(
@@ -244,7 +276,12 @@ class _Column:
                 f"page holds {count} values, metadata says {meta.count}"
             )
         body = buf[_COUNT.size :]
-        if self.compress == "rle":
+        if self._slot is not None:
+            slots = np.frombuffer(body, self._slot, count)
+            decoded = slots["value"].astype(object)
+            decoded[slots["valid"] == 0] = NA
+            values = decoded.tolist()
+        elif self.compress == "rle":
             values = comp.rle_decode_bytes(body, self.dtype)
         else:
             values = list(comp.iter_value_stream(body, self.dtype, count))

@@ -66,10 +66,16 @@ class TestEngines:
                 [("d0",), ("d1",)],
             )
         )
-        join = "SELECT * FROM people JOIN depts ON dept = d"
-        with pytest.raises(QueryError, match="vectorized"):
-            explain_analyze(join, catalog, engine="vectorized")
-        assert explain_analyze(join, catalog).engine == "row"
+        star = "SELECT * FROM people JOIN depts ON dept = d"
+        # Explicit columns prune the join's input scan, which stays a row
+        # operator: the plan is still the row engine's.
+        narrow = "SELECT d, salary FROM people JOIN depts ON dept = d"
+        for join in (star, narrow):
+            with pytest.raises(QueryError, match="vectorized"):
+                explain_analyze(join, catalog, engine="vectorized")
+            assert explain_analyze(join, catalog).engine == "row"
+        scan = explain_analyze(narrow, catalog).root.find("ColumnScan")
+        assert scan is not None and "columns=['dept', 'salary']" in scan.detail
 
     def test_unknown_engine_rejected(self, catalog):
         with pytest.raises(QueryError, match="unknown engine"):

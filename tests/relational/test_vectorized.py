@@ -22,6 +22,7 @@ from repro.relational.vectorized import (
     VectorOperator,
     as_chunk_pipeline,
     chunks_from_rows,
+    factorize,
     supports_column_chunks,
 )
 from repro.storage.disk import SimulatedDisk
@@ -150,6 +151,42 @@ class TestOperators:
         scan = VecScan(sample_relation(), chunk_size=4)
         assert isinstance(scan, VectorOperator)
         assert list(iter(scan)) == sample_rows()
+
+
+def groups_of(key_columns, length):
+    return [(key, positions.tolist()) for key, positions in factorize(key_columns, length)]
+
+
+class TestFactorize:
+    def test_no_keys_is_one_grand_total_group(self):
+        assert groups_of([], 3) == [((), [0, 1, 2])]
+        assert groups_of([], 0) == [((), [])]
+
+    def test_no_rows_with_keys_is_no_groups(self):
+        assert groups_of([[]], 0) == []
+
+    def test_two_keys_in_first_seen_order(self):
+        g = [2, 1, 2, 1, 2]
+        h = [0, 0, 1, 0, 0]
+        assert groups_of([g, h], 5) == [
+            ((2, 0), [0, 4]),
+            ((1, 0), [1, 3]),
+            ((2, 1), [2]),
+        ]
+
+    def test_na_keys_form_their_own_group(self):
+        assert groups_of([[NA, 3, NA, 3, 4]], 5) == [
+            ((NA,), [0, 2]),
+            ((3,), [1, 3]),
+            ((4,), [4]),
+        ]
+
+    def test_str_keys(self):
+        assert groups_of([["b", "a", "b", "c"]], 4) == [
+            (("b",), [0, 2]),
+            (("a",), [1]),
+            (("c",), [3]),
+        ]
 
 
 class TestChunkPipelineLift:

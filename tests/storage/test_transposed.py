@@ -59,6 +59,40 @@ class TestBasics:
             tf.get_value(5, 0)
 
 
+class TestFixedWidthPages:
+    """Plain INT/FLOAT/CATEGORY/BOOL pages hold fixed-stride slots."""
+
+    def test_correcting_a_missing_value_on_a_full_page(self):
+        # 1 NA + 454 floats filled a 4096-byte page when NA took one byte;
+        # writing a 9-byte value into the NA's place then overflowed it.
+        _, _, tf = make_tf([DataType.FLOAT], block_size=4096)
+        tf.append_rows([(NA,)] + [(float(i),) for i in range(454)])
+        tf.set_value(0, 0, 1.5)
+        assert tf.get_value(0, 0) == 1.5
+        assert list(tf.scan_column(0)) == [1.5] + [float(i) for i in range(454)]
+
+    def test_na_round_trips_in_every_fixed_width_type(self):
+        types = [DataType.INT, DataType.FLOAT, DataType.CATEGORY, DataType.BOOL]
+        rows = [
+            (i if i % 3 else NA, -0.5 * i if i % 4 else NA, i % 7, i % 2 == 0)
+            for i in range(120)
+        ]
+        rows[5] = (NA, NA, NA, NA)
+        _, _, tf = make_tf(types, block_size=64)
+        tf.append_rows(rows)
+        assert list(tf.scan_rows()) == rows
+        assert [type(v) for v in tf.get_row(7)] == [int, float, int, bool]
+
+    def test_decode_never_walks_values_one_by_one(self, monkeypatch):
+        from repro.storage import compression as comp
+
+        _, _, tf = make_tf([DataType.INT, DataType.BOOL], block_size=64)
+        tf.append_rows([(i, i % 2 == 1) for i in range(50)])
+        monkeypatch.setattr(comp, "iter_value_stream", None)
+        assert list(tf.scan_column(0)) == list(range(50))
+        assert list(tf.scan_column(1)) == [i % 2 == 1 for i in range(50)]
+
+
 class TestIOPattern:
     def test_column_scan_reads_only_that_column(self):
         """The SS2.6 claim: q-of-m column scans touch q/m of the pages."""
